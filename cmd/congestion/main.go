@@ -76,6 +76,9 @@ func main() {
 		}
 		opts.Rates = append(opts.Rates, r)
 	}
+	if err := opts.Validate(); err != nil {
+		fail(err)
+	}
 	pts := figures.Governed(opts)
 
 	table := figures.GovernedTable(pts)

@@ -20,11 +20,11 @@ import (
 
 	"phastlane/internal/cliflags"
 	"phastlane/internal/electrical"
+	"phastlane/internal/figures"
 	"phastlane/internal/photonic"
 	"phastlane/internal/sim"
 	"phastlane/internal/telemetry"
 	"phastlane/internal/trace"
-	"phastlane/internal/traffic"
 )
 
 func main() {
@@ -99,7 +99,7 @@ func main() {
 		}
 		fmt.Printf("trace: %d messages, makespan %d cycles\n", len(tr.Messages), res.Makespan)
 	} else {
-		pattern, err := patternByName(*trafficName, net.Nodes())
+		pattern, err := figures.PatternByName(*trafficName, net.Nodes(), *seed)
 		if err != nil {
 			fail(err)
 		}
@@ -132,23 +132,6 @@ func main() {
 	}
 	if err := telFlags.Finish(tel, os.Stdout); err != nil {
 		fail(err)
-	}
-}
-
-func patternByName(name string, nodes int) (traffic.Pattern, error) {
-	switch name {
-	case "Uniform":
-		return traffic.UniformRandom(nodes, 7), nil
-	case "BitComp":
-		return traffic.BitComplement(nodes), nil
-	case "BitRev":
-		return traffic.BitReverse(nodes), nil
-	case "Shuffle":
-		return traffic.Shuffle(nodes), nil
-	case "Transpose":
-		return traffic.Transpose(nodes), nil
-	default:
-		return nil, fmt.Errorf("unknown pattern %q", name)
 	}
 }
 

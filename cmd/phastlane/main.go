@@ -20,12 +20,12 @@ import (
 
 	"phastlane/internal/cliflags"
 	"phastlane/internal/core"
+	"phastlane/internal/figures"
 	"phastlane/internal/packet"
 	"phastlane/internal/photonic"
 	"phastlane/internal/sim"
 	"phastlane/internal/telemetry"
 	"phastlane/internal/trace"
-	"phastlane/internal/traffic"
 )
 
 func main() {
@@ -112,7 +112,7 @@ func main() {
 			}
 		}
 	} else {
-		pattern, err := patternByName(*trafficName, net.Nodes())
+		pattern, err := figures.PatternByName(*trafficName, net.Nodes(), *seed)
 		if err != nil {
 			fail(err)
 		}
@@ -136,23 +136,6 @@ func main() {
 	report(res, net.Nodes())
 	if err := telFlags.Finish(tel, os.Stdout); err != nil {
 		fail(err)
-	}
-}
-
-func patternByName(name string, nodes int) (traffic.Pattern, error) {
-	switch name {
-	case "Uniform":
-		return traffic.UniformRandom(nodes, 7), nil
-	case "BitComp":
-		return traffic.BitComplement(nodes), nil
-	case "BitRev":
-		return traffic.BitReverse(nodes), nil
-	case "Shuffle":
-		return traffic.Shuffle(nodes), nil
-	case "Transpose":
-		return traffic.Transpose(nodes), nil
-	default:
-		return nil, fmt.Errorf("unknown pattern %q", name)
 	}
 }
 

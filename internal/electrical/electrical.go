@@ -163,10 +163,10 @@ type Network struct {
 	// tree routes and fault detours all compile through it, while m
 	// stays the concrete mesh geometry the wormhole datapath (ports,
 	// credits, link walk) is built around.
-	top    topo.Topology
-	det    topo.FaultRouting
-	m      *mesh.Mesh
-	energy power.Electrical
+	top     topo.Topology
+	det     topo.FaultRouting
+	m       *mesh.Mesh
+	energy  power.Electrical
 	rng     *rand.Rand
 	routers []erouter
 	transit []arrival

@@ -126,31 +126,30 @@ func JainFairness(delivered []int64) float64 {
 	return sum * sum / (float64(len(delivered)) * sumSq)
 }
 
-// governedPattern builds a pattern by name for a nodes-endpoint run;
-// stateful patterns (Uniform) get the derived seed so every point owns a
-// fresh generator.
-func governedPattern(name string, nodes int, seed int64) traffic.Pattern {
-	switch name {
-	case "Uniform":
-		return traffic.UniformRandom(nodes, seed)
-	case "BitComp":
-		return traffic.BitComplement(nodes)
-	case "BitRev":
-		return traffic.BitReverse(nodes)
-	case "Shuffle":
-		return traffic.Shuffle(nodes)
-	case "Transpose":
-		return traffic.Transpose(nodes)
-	default:
-		panic("figures: unknown governed pattern " + name)
+// Validate reports an unknown network variant or traffic pattern name,
+// so callers can reject bad options before Governed fans out its points.
+func (o GovernedOpts) Validate() error {
+	for _, c := range o.Configs {
+		if c != "Optical4" && c != "Electrical3" {
+			return fmt.Errorf("unknown governed config %q (want Optical4 or Electrical3)", c)
+		}
 	}
+	for _, p := range o.Patterns {
+		if _, err := PatternByName(p, 64, 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Governed runs the sweep and returns all points in a stable (config,
 // pattern, mode, rate) order. Every point builds a fresh network and a
 // fresh governor, so two runs with the same options are bit-identical
-// regardless of worker count.
+// regardless of worker count. It panics on options Validate rejects.
 func Governed(opts GovernedOpts) []GovernedPoint {
+	if err := opts.Validate(); err != nil {
+		panic("figures: " + err.Error())
+	}
 	if len(opts.Configs) == 0 {
 		opts.Configs = []string{"Optical4", "Electrical3"}
 	}
@@ -196,8 +195,10 @@ func Governed(opts GovernedOpts) []GovernedPoint {
 			cfg.Seed = exp.DeriveSeed(opts.Seed, uint64(ji))
 			gov = cc.New(cfg, net.Nodes())
 		}
+		// Uniform is stateful: each point gets its own derived seed.
+		pattern, _ := PatternByName(j.pattern, net.Nodes(), exp.DeriveSeed(opts.Seed, uint64(ji)*64+32))
 		r := sim.RunRate(net, sim.RateConfig{
-			Pattern: governedPattern(j.pattern, net.Nodes(), exp.DeriveSeed(opts.Seed, uint64(ji)*64+32)),
+			Pattern: pattern,
 			Rate:    j.rate,
 			Warmup:  opts.Warmup, Measure: opts.Measure,
 			Seed: opts.Seed,

@@ -96,3 +96,30 @@ func TestGovernedRecovery(t *testing.T) {
 		t.Fatalf("no re-convergence: fault %v -> post %v", r.FaultRate, r.PostRate)
 	}
 }
+
+// TestGovernedOptsValidate checks the up-front name check cmd/congestion
+// relies on: every known config and pattern passes, empty lists fall
+// back to the defaults, and an unknown name is rejected before any point
+// runs.
+func TestGovernedOptsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts GovernedOpts
+		ok   bool
+	}{
+		{"defaults", GovernedOpts{}, true},
+		{"all known", GovernedOpts{
+			Configs:  []string{"Optical4", "Electrical3"},
+			Patterns: []string{"Uniform", "BitComp", "BitRev", "Shuffle", "Transpose"},
+		}, true},
+		{"unknown pattern", GovernedOpts{Patterns: []string{"Uniform", "Foo"}}, false},
+		{"lower-case pattern", GovernedOpts{Patterns: []string{"uniform"}}, false},
+		{"unknown config", GovernedOpts{Configs: []string{"Bogus"}}, false},
+		{"non-governed config", GovernedOpts{Configs: []string{"Optical5"}}, false},
+	} {
+		err := tc.opts.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%t", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -196,9 +196,9 @@ func InspectHeatmaps(results []InspectResult) string {
 	return b.String()
 }
 
-// PatternByName builds a sized traffic pattern for the inspection cmds.
-// Uniform is stateful, so callers must not share the returned pattern
-// across concurrent runs.
+// PatternByName builds a sized traffic pattern by its command-line name;
+// seed drives the stateful Uniform pattern. Uniform is stateful, so
+// callers must not share the returned pattern across concurrent runs.
 func PatternByName(name string, nodes int, seed int64) (traffic.Pattern, error) {
 	switch name {
 	case "Uniform":

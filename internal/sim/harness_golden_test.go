@@ -134,8 +134,8 @@ var harnessGolden = map[string]struct {
 	"trace/FFT/electrical/faulty=true/observed=true":     {"f7f4c1f24dbf41f3", 0},
 	"trace/Ocean/optical/limit/observed=false":           {"a7a01969b715c014", 0},
 	"trace/Ocean/optical/limit/observed=true":            {"a7a01969b715c014", 0},
-	"trace/Ocean/electrical/limit/observed=false":        {"f9519f905221a7d0", 0},
-	"trace/Ocean/electrical/limit/observed=true":         {"f9519f905221a7d0", 0},
+	"trace/Ocean/electrical/limit/observed=false":        {"f9519f905221a7d0", 22},
+	"trace/Ocean/electrical/limit/observed=true":         {"f9519f905221a7d0", 22},
 	"rate/optical/0.05/clean":                            {"97fede78d322e0b1", 0},
 	"rate/optical/0.05/lossy":                            {"cf0aad0f48d5edea", 5},
 	"rate/optical/0.05/governed":                         {"97fede78d322e0b1", 0},
@@ -182,7 +182,6 @@ func goldenCases(t *testing.T) []goldenCase {
 		for _, optical := range []bool{true, false} {
 			for _, faulty := range []bool{false, true} {
 				for _, observed := range []bool{false, true} {
-					bench, optical, faulty, observed := bench, optical, faulty, observed
 					name := fmt.Sprintf("trace/%s/%s/faulty=%t/observed=%t", bench, netName[optical], faulty, observed)
 					cases = append(cases, goldenCase{name: name, observed: observed,
 						run: func(o *goldenObservers) sim.Result {
@@ -204,7 +203,6 @@ func goldenCases(t *testing.T) []goldenCase {
 	// still in flight.
 	for _, optical := range []bool{true, false} {
 		for _, observed := range []bool{false, true} {
-			optical, observed := optical, observed
 			cases = append(cases, goldenCase{
 				name:     fmt.Sprintf("trace/Ocean/%s/limit/observed=%t", netName[optical], observed),
 				observed: observed,
@@ -225,7 +223,6 @@ func goldenCases(t *testing.T) []goldenCase {
 	for _, optical := range []bool{true, false} {
 		for _, rate := range []float64{0.05, 0.60} {
 			for _, mode := range []string{"clean", "lossy", "governed", "observed"} {
-				optical, rate, mode := optical, rate, mode
 				cases = append(cases, goldenCase{
 					name:     fmt.Sprintf("rate/%s/%.2f/%s", netName[optical], rate, mode),
 					observed: mode == "observed",

@@ -50,8 +50,8 @@ func TestProvenanceDoesNotPerturbResults(t *testing.T) {
 // networks run the same zero-allocation steady state the kernel tests
 // pin, and the harness branch on a nil *Tracker costs nothing per
 // message. (The per-network zero-alloc pins live in kernel_test.go; this
-// test guards the attachObs seam specifically: a nil collector and nil
-// tracker must tee to a nil tracer.)
+// test guards the harness's observer-attach seam specifically: a nil
+// collector and nil tracker must tee to a nil tracer.)
 func TestProvenanceOffIsFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -118,14 +118,6 @@ type LossReporting interface {
 	SetLossHandler(func(Loss))
 }
 
-// attachLoss installs handler on net when the network supports loss
-// reporting; without support the handler never fires (lossless networks).
-func attachLoss(net Network, handler func(Loss)) {
-	if lr, ok := net.(LossReporting); ok {
-		lr.SetLossHandler(handler)
-	}
-}
-
 // CongestionReporting is implemented by networks whose NIC layer can
 // attribute congestion nacks to the responsible sender: an optical drop
 // notice returning to the parcel's owner, or an electrical injection
@@ -135,67 +127,6 @@ func attachLoss(net Network, handler func(Loss)) {
 // governor's Nack sink through this interface.
 type CongestionReporting interface {
 	SetNackHandler(func(src mesh.NodeID))
-}
-
-// attachCC installs the governor's nack sink on net when the network can
-// attribute nacks; fabrics without nacks (fabsim is lossless in-network)
-// still get governed through the harness's ack/loss plumbing.
-func attachCC(net Network, gov *cc.Governor) {
-	if gov == nil {
-		return
-	}
-	if cr, ok := net.(CongestionReporting); ok {
-		cr.SetNackHandler(gov.Nack)
-	}
-}
-
-// attachObs installs the run's event tap on net when both sides support
-// it — the collector's tracer teed with the provenance tracker's Observe
-// — and returns the sampler the harness must drive, if any. This is the
-// one type-assertion through which every observability attachment flows.
-func attachObs(net Network, c *obs.Collector, prov *provenance.Tracker) *obs.Sampler {
-	var pt func(obs.Event)
-	if prov != nil {
-		pt = prov.Observe
-	}
-	if tr := obs.Tee(c.Tracer(), pt); tr != nil {
-		if t, ok := net.(Traceable); ok {
-			t.SetTracer(tr)
-		}
-	}
-	if c == nil {
-		return nil
-	}
-	return c.Sampler
-}
-
-// attachTelemetry installs t's phase profile on net (when the network is
-// instrumentable) and returns the network's optional telemetry views:
-// the active-set size reporter and the invariant checker, nil when
-// unsupported. The counterpart of attachObs for the telemetry layer.
-func attachTelemetry(net Network, t *telemetry.Run) (telemetry.ActiveSetReporter, telemetry.InvariantChecker) {
-	if t == nil {
-		return nil, nil
-	}
-	if in, ok := net.(telemetry.Instrumentable); ok {
-		in.SetPhases(t.Phases)
-	}
-	asr, _ := net.(telemetry.ActiveSetReporter)
-	ic, _ := net.(telemetry.InvariantChecker)
-	return asr, ic
-}
-
-// telemetryFlush drives one watchdog-and-flight-record flush, gathering
-// the optional network views. activeRouters is -1 without an active set.
-func telemetryFlush(t *telemetry.Run, asr telemetry.ActiveSetReporter, ic telemetry.InvariantChecker, s telemetry.FlushStats) {
-	s.ActiveRouters = -1
-	if asr != nil {
-		s.ActiveRouters = asr.ActiveRouters()
-	}
-	if ic != nil {
-		s.InvariantErr = ic.CheckInvariants()
-	}
-	t.Flush(s)
 }
 
 // Result summarises one harness run.
@@ -217,8 +148,9 @@ type Result struct {
 	// abandoned and reported (see LossReporting); always zero for
 	// lossless configurations.
 	Lost int64
-	// Unresolved counts measured messages still outstanding when the
-	// drain phase gave up: neither delivered nor reported lost.
+	// Unresolved counts measured messages still outstanding when the run
+	// ended (the drain phase gave up, or a replay hit its cycle limit):
+	// neither delivered nor reported lost.
 	Unresolved int64
 	// Paced counts offered packets the congestion governor declined to
 	// admit (synthetic runs with RateConfig.CC); always zero ungoverned.
@@ -251,6 +183,223 @@ type messageState struct {
 	// false) so the governor's ack stream is symmetric with its nack
 	// stream from cycle zero.
 	measured bool
+}
+
+// harness is the bookkeeping RunRate and RunTrace share: per-message
+// states, the attached observers and the cycle counter. It owns the one
+// path that injects, steps, resolves deliveries and losses, and audits
+// conservation; the two run modes supply only their traffic policy.
+type harness struct {
+	net   Network
+	nrun  *stats.Run
+	res   Result
+	cycle int64
+
+	// states[i] tracks message ID base+i; a message is outstanding while
+	// its remaining count is positive.
+	states []messageState
+	base   uint64
+	// trackUnmeasured keeps state for unmeasured messages too, so
+	// onResolve sees them (the governor's warmup acks).
+	trackUnmeasured bool
+	// injected counts every accepted message; measured and active count
+	// the measured ones accepted and still outstanding — the set whose
+	// conservation every flush audits.
+	injected, measured int64
+	active             int
+	// Per-cycle counts fed to the sampler and telemetry tick.
+	cycleInjected, completed int
+	latencySum               float64
+	deliveries               []Delivery // reused across cycles (Step buffer contract)
+
+	sampler *obs.Sampler
+	tel     *telemetry.Run
+	asr     telemetry.ActiveSetReporter
+	ic      telemetry.InvariantChecker
+	prov    *provenance.Tracker
+	// onResolve, when set, is the traffic policy's hook for a tracked
+	// message's final outcome: st.lost, or delivered with latency lat.
+	// It runs after the harness's own accounting.
+	onResolve func(id uint64, st *messageState, lat float64)
+}
+
+// newHarness binds the run's observers to net through the optional
+// network interfaces — the one place every attachment flows: the
+// collector's tracer teed with the provenance tracker's event tap, the
+// telemetry phase profile and invariant views, and the loss handler.
+// Nil observers cost nothing.
+func newHarness(net Network, c *obs.Collector, tel *telemetry.Run, prov *provenance.Tracker) *harness {
+	h := &harness{net: net, nrun: net.Run(), tel: tel, prov: prov}
+	var pt func(obs.Event)
+	if prov != nil {
+		pt = prov.Observe
+	}
+	if tr := obs.Tee(c.Tracer(), pt); tr != nil {
+		if t, ok := net.(Traceable); ok {
+			t.SetTracer(tr)
+		}
+	}
+	if c != nil {
+		h.sampler = c.Sampler
+	}
+	if tel != nil {
+		if in, ok := net.(telemetry.Instrumentable); ok {
+			in.SetPhases(tel.Phases)
+		}
+		h.asr, _ = net.(telemetry.ActiveSetReporter)
+		h.ic, _ = net.(telemetry.InvariantChecker)
+	}
+	// Lost messages resolve instead of stalling the run; without loss
+	// reporting the network is lossless and the handler never fires.
+	if lr, ok := net.(LossReporting); ok {
+		lr.SetLossHandler(h.lose)
+	}
+	return h
+}
+
+// state returns message id's tracking slot, or nil when it is untracked.
+func (h *harness) state(id uint64) *messageState {
+	if id < h.base || id-h.base >= uint64(len(h.states)) {
+		return nil
+	}
+	return &h.states[id-h.base]
+}
+
+// inject hands m to the network. Latency runs from cycle at (the
+// injection cycle, or a replayed message's readiness). Tracked IDs must
+// be dense: a policy either preallocates states over its ID range or
+// injects them in ascending order.
+func (h *harness) inject(m Message, at int64, measured bool) {
+	h.injected++
+	h.cycleInjected++
+	if measured && h.prov != nil {
+		// Before net.Inject, so the network's inject event (and
+		// everything after) lands in the packet's log.
+		h.prov.Inject(m.ID, m.Src, at)
+	}
+	h.net.Inject(m)
+	if !measured && !h.trackUnmeasured {
+		return
+	}
+	if len(h.states) == 0 {
+		h.base = m.ID
+	}
+	if m.ID-h.base == uint64(len(h.states)) {
+		h.states = append(h.states, messageState{})
+	}
+	h.states[m.ID-h.base] = messageState{inject: at, remaining: len(m.Dsts), src: m.Src, measured: measured}
+	if measured {
+		h.measured++
+		h.active++
+	}
+}
+
+// step advances the network one cycle, resolves its deliveries, feeds
+// the sampler and telemetry, and flushes on the telemetry period.
+func (h *harness) step() {
+	h.completed, h.latencySum = 0, 0
+	h.deliveries = h.net.Step(h.deliveries[:0])
+	for _, d := range h.deliveries {
+		st := h.state(d.MsgID)
+		if st == nil || st.remaining == 0 {
+			continue // untracked (warmup) traffic
+		}
+		st.remaining--
+		if st.remaining == 0 {
+			h.resolve(d.MsgID, st)
+		}
+	}
+	if h.sampler != nil {
+		h.sampler.Tick(h.cycle, len(h.deliveries), h.completed, h.latencySum, h.cycleInjected, h.nrun.Drops)
+	}
+	h.cycle++
+	if h.tel != nil {
+		h.tel.Tick(h.cycleInjected, len(h.deliveries), h.nrun.Drops, h.nrun.Retries, h.active)
+		if h.cycle%h.tel.FlushEvery == 0 {
+			h.flush()
+		}
+	}
+	h.cycleInjected = 0
+}
+
+// lose is the network's loss handler: abandoned destinations resolve a
+// message like deliveries do, but as a loss.
+func (h *harness) lose(l Loss) {
+	st := h.state(l.MsgID)
+	if st == nil || st.remaining == 0 {
+		return
+	}
+	st.lost = true
+	st.remaining -= min(l.Count, st.remaining)
+	if st.remaining == 0 {
+		h.resolve(l.MsgID, st)
+	}
+}
+
+// resolve accounts a tracked message's final outcome. A message with any
+// lost destination counts as a loss, never as a latency sample.
+func (h *harness) resolve(id uint64, st *messageState) {
+	lat := float64(h.cycle - st.inject + 1)
+	if st.measured {
+		h.active--
+		if st.lost {
+			h.res.Lost++
+			if h.tel != nil {
+				h.tel.Lost.Inc()
+			}
+			if h.prov != nil {
+				h.prov.Lost(id)
+			}
+		} else {
+			h.res.Run.Latency.Add(lat)
+			h.completed++
+			h.latencySum += lat
+			if h.tel != nil {
+				h.tel.Latency.Observe(lat)
+			}
+			if h.prov != nil {
+				h.prov.Complete(id, h.cycle)
+			}
+		}
+	}
+	if h.onResolve != nil {
+		h.onResolve(id, st, lat)
+	}
+}
+
+// flush runs the telemetry watchdogs and appends a flight record. The
+// conservation audit covers the measured messages: each is delivered,
+// lost or still in flight.
+func (h *harness) flush() {
+	s := telemetry.FlushStats{
+		Cycle:         h.cycle,
+		Injected:      h.measured,
+		Delivered:     int64(h.res.Run.Latency.Count()),
+		Lost:          h.res.Lost,
+		InFlight:      int64(h.active),
+		ActiveRouters: -1,
+	}
+	if h.asr != nil {
+		s.ActiveRouters = h.asr.ActiveRouters()
+	}
+	if h.ic != nil {
+		s.InvariantErr = h.ic.CheckInvariants()
+	}
+	h.tel.Flush(s)
+}
+
+// finish closes the run: a last flush audits the whole run even when it
+// is shorter than a flush period, and the counters are folded into the
+// result. Messages still outstanding are reported as Unresolved.
+func (h *harness) finish() Result {
+	if h.tel != nil {
+		h.flush()
+	}
+	h.res.Run.Injected = h.injected
+	h.res.Run.Delivered = int64(h.res.Run.Latency.Count())
+	h.res.Unresolved = int64(h.active)
+	copyCounters(&h.res.Run, h.nrun)
+	return h.res
 }
 
 // RateConfig controls a synthetic rate-driven run.
@@ -305,67 +454,42 @@ func RunRate(net Network, cfg RateConfig) Result {
 		cfg.DrainLimit = 30000
 	}
 	inj := traffic.NewInjector(cfg.Pattern, net.Nodes(), cfg.Rate, cfg.Seed)
-	res := Result{OfferedRate: cfg.Rate}
-	// states[i] tracks message ID base+uint64(i); only messages injected
-	// during the measure phase are recorded. base == 0 means nothing has
-	// been recorded yet (IDs start at 1).
-	var states []messageState
-	var base uint64
-	var active int
-	var nextID uint64
-	var cycle int64
-	var offered, accepted int64
-	prov := cfg.Prov
-	sampler := attachObs(net, cfg.Obs, prov)
-	tel := cfg.Telemetry
-	telASR, telIC := attachTelemetry(net, tel)
-	gov := cfg.CC
-	attachCC(net, gov)
+	h := newHarness(net, cfg.Obs, cfg.Telemetry, cfg.Prov)
+	res := &h.res
+	res.OfferedRate = cfg.Rate
 	res.DeliveredBySender = make([]int64, net.Nodes())
-	nrun := net.Run()
-	// Losses reported by the delivery layer resolve measured messages so
-	// the drain phase does not wait forever for packets that will never
-	// arrive. Unrecorded (warmup) losses need no bookkeeping.
-	var recorded int64
-	attachLoss(net, func(l Loss) {
-		if base == 0 || l.MsgID < base || l.MsgID-base >= uint64(len(states)) {
-			return
+	gov := cfg.CC
+	if gov != nil {
+		// Fabrics without nacks (fabsim is lossless in-network) are
+		// still governed through the ack and loss calls below.
+		if cr, ok := net.(CongestionReporting); ok {
+			cr.SetNackHandler(gov.Nack)
 		}
-		st := &states[l.MsgID-base]
-		if st.remaining == 0 {
-			return
-		}
-		st.lost = true
-		st.remaining -= l.Count
-		if st.remaining <= 0 {
-			st.remaining = 0
+		h.trackUnmeasured = true
+	}
+	h.onResolve = func(_ uint64, st *messageState, lat float64) {
+		switch {
+		case st.lost:
 			if gov != nil {
 				gov.Lost(st.src)
 			}
-			if !st.measured {
-				return
+		default:
+			if gov != nil {
+				gov.Ack(st.src, lat)
 			}
-			active--
-			res.Lost++
-			if tel != nil {
-				tel.Lost.Inc()
-			}
-			if prov != nil {
-				prov.Lost(l.MsgID)
+			if st.measured {
+				res.DeliveredBySender[st.src]++
 			}
 		}
-	})
-	var cycleInjected int
-	var deliveries []Delivery // reused across cycles (Step buffer contract)
+	}
+	var nextID uint64
 	dsts := make([]mesh.NodeID, 1)
-
-	injectTick := func(record bool) {
-		cycleInjected = 0
+	injectTick := func(measured bool) {
 		if gov != nil {
-			gov.Tick(cycle)
+			gov.Tick(h.cycle)
 		}
 		for _, in := range inj.Tick() {
-			offered++
+			res.Offered++
 			if gov != nil && !gov.Allow(in.Src) {
 				// Governor declined: the packet is paced out, an
 				// admission decision rather than a saturation symptom.
@@ -377,134 +501,34 @@ func RunRate(net Network, cfg RateConfig) Result {
 				// measurement, a saturation symptom.
 				continue
 			}
-			accepted++
-			cycleInjected++
 			nextID++
-			if record && prov != nil {
-				// Before net.Inject, so the network's inject event
-				// (and everything after) lands in the packet's log.
-				prov.Inject(nextID, in.Src, cycle)
-			}
 			dsts[0] = in.Dst
-			net.Inject(Message{ID: nextID, Src: in.Src, Dsts: dsts, Op: packet.OpSynthetic})
-			if record || gov != nil {
-				if base == 0 {
-					base = nextID
-				}
-				states = append(states, messageState{inject: cycle, remaining: 1, src: in.Src, measured: record})
-				if record {
-					active++
-					recorded++
-				}
-			}
+			h.inject(Message{ID: nextID, Src: in.Src, Dsts: dsts, Op: packet.OpSynthetic}, h.cycle, measured)
 		}
-	}
-	stepTick := func() {
-		deliveries = net.Step(deliveries[:0])
-		var completed int
-		var latencySum float64
-		for _, d := range deliveries {
-			if base == 0 || d.MsgID < base || d.MsgID-base >= uint64(len(states)) {
-				continue // not recorded (warmup traffic)
-			}
-			st := &states[d.MsgID-base]
-			st.remaining--
-			if st.remaining == 0 {
-				if st.measured {
-					active--
-				}
-				if st.lost {
-					// A partially-lost message completing its
-					// surviving deliveries counts as a loss.
-					if !st.measured {
-						continue
-					}
-					res.Lost++
-					if tel != nil {
-						tel.Lost.Inc()
-					}
-					if prov != nil {
-						prov.Lost(d.MsgID)
-					}
-					continue
-				}
-				lat := float64(cycle - st.inject + 1)
-				if gov != nil {
-					gov.Ack(st.src, lat)
-				}
-				if !st.measured {
-					continue
-				}
-				res.Run.Latency.Add(lat)
-				completed++
-				latencySum += lat
-				res.DeliveredBySender[st.src]++
-				if tel != nil {
-					tel.Latency.Observe(lat)
-				}
-				if prov != nil {
-					prov.Complete(d.MsgID, cycle)
-				}
-			}
-		}
-		if sampler != nil {
-			sampler.Tick(cycle, len(deliveries), completed, latencySum, cycleInjected, net.Run().Drops)
-		}
-		cycle++
-		if tel != nil {
-			tel.Tick(cycleInjected, len(deliveries), nrun.Drops, nrun.Retries, active)
-			if cycle%tel.FlushEvery == 0 {
-				telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-					Cycle:             cycle,
-					Injected:          recorded,
-					Delivered:         int64(res.Run.Latency.Count()),
-					Lost:              res.Lost,
-					InFlight:          int64(active),
-					CheckConservation: true,
-				})
-			}
-		}
-		cycleInjected = 0
 	}
 
 	for i := 0; i < cfg.Warmup; i++ {
 		injectTick(false)
-		stepTick()
+		h.step()
 	}
 	for i := 0; i < cfg.Measure; i++ {
 		injectTick(true)
-		stepTick()
+		h.step()
 	}
 	// Drain: stop injecting, wait for measured packets to arrive.
-	for i := 0; i < cfg.DrainLimit && active > 0; i++ {
-		stepTick()
+	for i := 0; i < cfg.DrainLimit && h.active > 0; i++ {
+		h.step()
 	}
-	// A closing flush audits conservation over the whole run even when
-	// the run is shorter than a flush period.
-	if tel != nil {
-		telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-			Cycle:             cycle,
-			Injected:          recorded,
-			Delivered:         int64(res.Run.Latency.Count()),
-			Lost:              res.Lost,
-			InFlight:          int64(active),
-			CheckConservation: true,
-		})
-	}
-	res.Run.Cycles = int64(cfg.Measure)
-	res.Offered = offered
-	res.Run.Injected = accepted
-	res.Run.Delivered = int64(res.Run.Latency.Count())
-	res.Unresolved = int64(active)
-	copyCounters(&res.Run, net.Run())
+	r := h.finish()
+	r.Run.Cycles = int64(cfg.Measure)
 	// Paced-out packets were an admission decision, not an overload
 	// symptom, so the accepted-fraction test measures against what the
 	// governor actually presented to the NIC.
-	presented := offered - res.Paced
-	if active > 0 || (presented > 0 && float64(accepted) < 0.9*float64(presented)) {
-		res.Saturated = true
+	presented := r.Offered - r.Paced
+	if r.Unresolved > 0 || (presented > 0 && float64(r.Run.Injected) < 0.9*float64(presented)) {
+		r.Saturated = true
 	}
-	return res
+	return r
 }
 
 // copyCounters merges the network-side counters into the harness run.
@@ -529,9 +553,8 @@ type ReplayConfig struct {
 	// RateConfig.Obs.
 	Obs *obs.Collector
 	// Telemetry, when non-nil, attaches the live telemetry bundle as in
-	// RateConfig.Telemetry. Trace replays skip the conservation audit
-	// (the replay's own dependency accounting subsumes it) but keep the
-	// network invariant checks and the flight record.
+	// RateConfig.Telemetry, conservation audit included: every replayed
+	// message counts as measured.
 	Telemetry *telemetry.Run
 	// Prov, when non-nil, attaches per-packet latency provenance as in
 	// RateConfig.Prov. Replay latency is measured from readiness, so a
@@ -556,14 +579,12 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 		limit = 20_000_000
 	}
 	// readyAt[id] is the cycle message id may inject; -1 = dependency
-	// not yet delivered. dependents is the child adjacency as intrusive
+	// not yet resolved. dependents is the child adjacency as intrusive
 	// linked lists over the (dense, 1-based) message IDs — no per-ID
-	// slice or map entry. states[id] replaces the old per-message map:
-	// a message is outstanding while states[id].remaining > 0.
+	// slice or map entry.
 	readyAt := make([]int64, len(tr.Messages)+1)
 	firstDep := make([]uint64, len(tr.Messages)+1)
 	nextDep := make([]uint64, len(tr.Messages)+1)
-	states := make([]messageState, len(tr.Messages)+1)
 	pending := make([]uint64, 0, len(tr.Messages)) // ids not yet injected, in ID order
 	for _, m := range tr.Messages {
 		pending = append(pending, m.ID)
@@ -582,70 +603,51 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 			firstDep[m.Dep] = m.ID
 		}
 	}
-	res := Result{LatencyByOp: make(map[packet.Op]*stats.Latency)}
-	var cycle int64
-	remainingDeliveries := 0
-	prov := cfg.Prov
-	sampler := attachObs(net, cfg.Obs, prov)
-	tel := cfg.Telemetry
-	telASR, telIC := attachTelemetry(net, tel)
-	nrun := net.Run()
-	// wake readies the children of a completed message (delivered or
-	// abandoned): think time from now, never before EarliestCycle.
-	wake := func(id uint64) {
+	h := newHarness(net, cfg.Obs, cfg.Telemetry, cfg.Prov)
+	// Messages inject out of ID order, so their states are preallocated
+	// and indexed by ID directly.
+	h.states = make([]messageState, len(tr.Messages)+1)
+	res := &h.res
+	res.LatencyByOp = make(map[packet.Op]*stats.Latency)
+	// A resolved message readies its children: think time from now,
+	// never before EarliestCycle. A lost message resolves like a delivery
+	// for dependency purposes but adds no latency sample, so a faulty
+	// replay degrades instead of deadlocking.
+	h.onResolve = func(id uint64, st *messageState, lat float64) {
+		if !st.lost {
+			res.Makespan = h.cycle + 1
+			op := tr.Messages[id-1].Op
+			ol, ok := res.LatencyByOp[op]
+			if !ok {
+				ol = &stats.Latency{}
+				res.LatencyByOp[op] = ol
+			}
+			ol.Add(lat)
+		}
 		for dep := firstDep[id]; dep != 0; dep = nextDep[dep] {
-			think := tr.Messages[dep-1].Think
-			at := cycle + 1 + think
+			at := h.cycle + 1 + tr.Messages[dep-1].Think
 			if e := tr.Messages[dep-1].EarliestCycle; e > at {
 				at = e
 			}
 			readyAt[dep] = at
 		}
 	}
-	// A lost message resolves like a delivery for dependency purposes —
-	// its children proceed — but contributes no latency sample, so a
-	// faulty replay degrades instead of deadlocking.
-	attachLoss(net, func(l Loss) {
-		st := &states[l.MsgID]
-		if st.remaining == 0 {
-			return
-		}
-		st.lost = true
-		count := l.Count
-		if count > st.remaining {
-			count = st.remaining
-		}
-		st.remaining -= count
-		remainingDeliveries -= count
-		if st.remaining == 0 {
-			res.Lost++
-			if tel != nil {
-				tel.Lost.Inc()
-			}
-			if prov != nil {
-				prov.Lost(l.MsgID)
-			}
-			wake(l.MsgID)
-		}
-	})
-	var deliveries []Delivery // reused across cycles (Step buffer contract)
 	// dsts is the injection scratch: one entry for unicasts, everyone
 	// but the source for broadcasts. Inject does not retain it.
 	dsts := make([]mesh.NodeID, 0, tr.Nodes)
 
-	for len(pending) > 0 || remainingDeliveries > 0 {
-		if cycle >= limit {
+	for len(pending) > 0 || h.active > 0 {
+		if h.cycle >= limit {
 			res.Saturated = true
 			break
 		}
 		// Inject every ready message whose NIC has room, in ID
 		// order per source.
 		rest := pending[:0]
-		cycleInjected := 0
 		for _, id := range pending {
 			m := tr.Messages[id-1]
 			r := readyAt[id]
-			if r < 0 || r > cycle || net.NICFree(m.Src) <= 0 {
+			if r < 0 || r > h.cycle || net.NICFree(m.Src) <= 0 {
 				rest = append(rest, id)
 				continue
 			}
@@ -659,98 +661,17 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 			} else {
 				dsts = append(dsts, m.Dst)
 			}
-			if prov != nil {
-				prov.Inject(id, m.Src, r)
-			}
-			net.Inject(Message{ID: id, Src: m.Src, Dsts: dsts, Op: m.Op})
-			// Latency is measured from readiness (dependency
-			// resolved, think time elapsed), so time spent
-			// stalled behind a full NIC counts against the
-			// network.
-			states[id] = messageState{inject: r, remaining: len(dsts)}
-			remainingDeliveries += len(dsts)
-			res.Run.Injected++
-			cycleInjected++
+			// Latency is measured from readiness (dependency resolved,
+			// think time elapsed), so time spent stalled behind a full
+			// NIC counts against the network.
+			h.inject(Message{ID: id, Src: m.Src, Dsts: dsts, Op: m.Op}, r, true)
 		}
 		pending = rest
-
-		deliveries = net.Step(deliveries[:0])
-		var completed int
-		var latencySum float64
-		for _, d := range deliveries {
-			st := &states[d.MsgID]
-			if st.remaining == 0 {
-				continue
-			}
-			st.remaining--
-			remainingDeliveries--
-			if st.remaining > 0 {
-				continue
-			}
-			if st.lost {
-				res.Lost++
-				if tel != nil {
-					tel.Lost.Inc()
-				}
-				if prov != nil {
-					prov.Lost(d.MsgID)
-				}
-				wake(d.MsgID)
-				continue
-			}
-			lat := float64(cycle - st.inject + 1)
-			res.Run.Latency.Add(lat)
-			completed++
-			latencySum += lat
-			if tel != nil {
-				tel.Latency.Observe(lat)
-			}
-			if prov != nil {
-				prov.Complete(d.MsgID, cycle)
-			}
-			res.Run.Delivered++
-			res.Makespan = cycle + 1
-			m := tr.Messages[d.MsgID-1]
-			ol, ok := res.LatencyByOp[m.Op]
-			if !ok {
-				ol = &stats.Latency{}
-				res.LatencyByOp[m.Op] = ol
-			}
-			ol.Add(lat)
-			wake(d.MsgID)
-		}
-		if sampler != nil {
-			sampler.Tick(cycle, len(deliveries), completed, latencySum, cycleInjected, net.Run().Drops)
-		}
-		cycle++
-		if tel != nil {
-			// Message-level in-flight is derived: every injected message
-			// resolves as exactly one completion or loss.
-			inFlight := res.Run.Injected - int64(res.Run.Latency.Count()) - res.Lost
-			tel.Tick(cycleInjected, len(deliveries), nrun.Drops, nrun.Retries, int(inFlight))
-			if cycle%tel.FlushEvery == 0 {
-				telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-					Cycle:     cycle,
-					Injected:  res.Run.Injected,
-					Delivered: int64(res.Run.Latency.Count()),
-					Lost:      res.Lost,
-					InFlight:  inFlight,
-				})
-			}
-		}
+		h.step()
 	}
-	if tel != nil {
-		telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-			Cycle:     cycle,
-			Injected:  res.Run.Injected,
-			Delivered: int64(res.Run.Latency.Count()),
-			Lost:      res.Lost,
-			InFlight:  res.Run.Injected - int64(res.Run.Latency.Count()) - res.Lost,
-		})
-	}
-	res.Run.Cycles = cycle
-	copyCounters(&res.Run, net.Run())
-	return res, nil
+	r := h.finish()
+	r.Run.Cycles = h.cycle
+	return r, nil
 }
 
 // SweepPoint is one (rate, latency) sample of a saturation sweep.

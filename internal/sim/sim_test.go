@@ -165,12 +165,23 @@ func TestRunTraceRejectsInvalidTrace(t *testing.T) {
 }
 
 func TestRunTraceLimit(t *testing.T) {
-	res, err := sim.RunTrace(optical(), tinyTrace(), sim.ReplayConfig{Limit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Saturated {
-		t.Error("cycle-limit abort not flagged")
+	for _, net := range networks() {
+		res, err := sim.RunTrace(net, tinyTrace(), sim.ReplayConfig{Limit: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Saturated {
+			t.Errorf("%T: cycle-limit abort not flagged", net)
+		}
+		// The abort leaves injected messages in flight: every one is
+		// delivered, lost or reported unresolved.
+		if res.Unresolved == 0 {
+			t.Errorf("%T: limit-aborted replay reports no unresolved messages", net)
+		}
+		if got := res.Run.Delivered + res.Lost + res.Unresolved; got != res.Run.Injected {
+			t.Errorf("%T: delivered %d + lost %d + unresolved %d != injected %d",
+				net, res.Run.Delivered, res.Lost, res.Unresolved, res.Run.Injected)
+		}
 	}
 }
 

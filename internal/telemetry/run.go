@@ -114,7 +114,8 @@ func (t *Run) Tick(injected, delivered int, drops, retries int64, inFlight int) 
 
 // FlushStats carries the harness-side accounting a flush audits and
 // records. The message-level counts cover measured messages only (the
-// set whose conservation the harness actually guarantees).
+// set whose conservation the harness actually guarantees); every flush
+// audits delivered+lost+in-flight == injected.
 type FlushStats struct {
 	Cycle    int64
 	Injected int64
@@ -122,9 +123,6 @@ type FlushStats struct {
 	Delivered int64
 	Lost      int64
 	InFlight  int64
-	// CheckConservation enables the delivered+lost+in-flight ==
-	// injected audit (synthetic runs; trace replays skip it).
-	CheckConservation bool
 	// ActiveRouters is -1 when the network has no active set.
 	ActiveRouters int
 	// InvariantErr is the network's own CheckInvariants result.
@@ -144,7 +142,7 @@ func (t *Run) Flush(s FlushStats) {
 			trip = tr.String()
 		}
 	}
-	if s.CheckConservation && s.Delivered+s.Lost+s.InFlight != s.Injected {
+	if s.Delivered+s.Lost+s.InFlight != s.Injected {
 		fail("conservation", fmt.Sprintf(
 			"delivered %d + lost %d + in-flight %d != injected %d",
 			s.Delivered, s.Lost, s.InFlight, s.Injected))
