@@ -302,7 +302,7 @@ func (h *harness) step() {
 	for _, d := range h.deliveries {
 		st := h.state(d.MsgID)
 		if st == nil || st.remaining == 0 {
-			continue // untracked (warmup) traffic
+			continue // untracked (warmup) traffic, or already lost
 		}
 		st.remaining--
 		if st.remaining == 0 {
@@ -468,18 +468,17 @@ func RunRate(net Network, cfg RateConfig) Result {
 		h.trackUnmeasured = true
 	}
 	h.onResolve = func(_ uint64, st *messageState, lat float64) {
-		switch {
-		case st.lost:
+		if st.lost {
 			if gov != nil {
 				gov.Lost(st.src)
 			}
-		default:
-			if gov != nil {
-				gov.Ack(st.src, lat)
-			}
-			if st.measured {
-				res.DeliveredBySender[st.src]++
-			}
+			return
+		}
+		if gov != nil {
+			gov.Ack(st.src, lat)
+		}
+		if st.measured {
+			res.DeliveredBySender[st.src]++
 		}
 	}
 	var nextID uint64
