@@ -381,10 +381,18 @@ func BenchmarkBuildBroadcast(b *testing.B) {
 
 func BenchmarkISLIPMatch(b *testing.B) {
 	a := islip.New(5, 4, 4, 2)
-	want := func(in, out int) bool { return (in+out)%2 == 0 }
+	// Checkerboard requests: input in wants output o when in+o is even.
+	req := make([]uint64, 4)
+	for o := range req {
+		for in := 0; in < 5; in++ {
+			if (in+o)%2 == 0 {
+				req[o] |= 1 << uint(in)
+			}
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Match(want)
+		a.Match(req)
 	}
 }
 

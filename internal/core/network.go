@@ -29,6 +29,12 @@ type parcel struct {
 	// control and launch describe the remaining route from owner.
 	control packet.Control
 	launch  mesh.Dir
+	// segOwner and segLeft are the owner and len(remaining) that
+	// control/launch were last resegmented for; segValid marks the memo
+	// live. Any other write of control clears segValid.
+	segOwner mesh.NodeID
+	segLeft  int
+	segValid bool
 	// remaining lists the multicast destinations not yet served, in
 	// sweep order. Nil for unicast parcels. It slides forward over
 	// remBuf, the parcel-owned backing array the free list preserves
@@ -439,6 +445,7 @@ func (n *Network) resolveDropWindow() {
 				// the relaunch rebuilds it anyway.
 				p.control = rec.control
 				p.launch = rec.launch
+				p.segValid = false
 			}
 			p.eligibleAt = n.cycle + 1 + n.backoff(p.retries)
 			rec.q.items = append(rec.q.items, p)
@@ -566,9 +573,11 @@ func (n *Network) queueOrder(r *router) [mesh.NumDirs]int {
 }
 
 // launchCandidate returns the first eligible parcel of q whose output port
-// is still free, or nil. Parcels whose port is taken are marked (skipAt)
-// so later rounds do not re-resegment them; the mark is the current cycle,
-// so it expires on its own without per-cycle bookkeeping.
+// is still free, or nil. With bypass each candidate is resegmented from
+// its owner first (a no-op when its memo is live). Parcels whose port is
+// taken are marked (skipAt) so later rounds of this cycle pass over them;
+// the mark is the current cycle, so it expires on its own without
+// per-cycle bookkeeping.
 func (n *Network) launchCandidate(q *pqueue, granted []bool) *parcel {
 	for _, p := range q.items {
 		if p.eligibleAt > n.cycle || p.skipAt == n.cycle {
@@ -597,16 +606,26 @@ func (n *Network) launchCandidate(q *pqueue, granted []bool) *parcel {
 
 // resegment rebuilds the parcel's remaining route from its current owner,
 // implementing the Section 2.1.3 bypass: a buffering router may skip the
-// original interim nodes and head as far as MaxHops allows.
+// original interim nodes and head as far as MaxHops allows. The rebuild is
+// a function of (owner, remaining), and remaining only ever shrinks from
+// the front, so when the parcel already holds the route built for its
+// current owner and remainder length it is returned as is.
 func (n *Network) resegment(p *parcel) {
-	if p.multicast {
-		ctl, launch := n.buildSweepFrom(p.owner, p.remaining, n.cfg.MaxHops)
-		p.control, p.launch = ctl, launch
+	if p.segValid && p.segOwner == p.owner && p.segLeft == len(p.remaining) {
 		return
+	}
+	p.control, p.launch = n.segmentFrom(p)
+	p.segOwner, p.segLeft, p.segValid = p.owner, len(p.remaining), true
+}
+
+// segmentFrom builds the parcel's route from its owner from scratch.
+func (n *Network) segmentFrom(p *parcel) (packet.Control, mesh.Dir) {
+	if p.multicast {
+		return n.buildSweepFrom(p.owner, p.remaining, n.cfg.MaxHops)
 	}
 	ctl, launch := n.enc.EncodeControl(p.owner, p.dst)
 	ctl.MarkInterims(n.cfg.MaxHops)
-	p.control, p.launch = ctl, launch
+	return ctl, launch
 }
 
 // buildSweepFrom reconstructs a multicast sweep control from node src

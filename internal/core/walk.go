@@ -177,6 +177,7 @@ func (n *Network) receiveOrDrop(f *flight, relaunch mesh.Dir) {
 		p.owner = f.at
 		p.control = f.control
 		p.launch = relaunch
+		p.segValid = false
 		p.eligibleAt = n.cycle + 1
 		p.enqueuedAt = n.cycle
 		q.items = append(q.items, p)

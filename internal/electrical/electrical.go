@@ -63,6 +63,11 @@ type Config struct {
 	Seed        int64
 }
 
+// maxVCs is the largest per-port VC count: the VC allocator takes one
+// request bit per (input port, VC), and 5 ports x 12 VCs is the most that
+// fits islip's 64-bit bitmaps.
+const maxVCs = islip.MaxPorts / mesh.NumDirs
+
 // DefaultConfig returns the Table 2 baseline.
 func DefaultConfig() Config {
 	return Config{
@@ -84,8 +89,9 @@ func (c Config) Validate() error {
 	if c.Width < 2 || c.Height < 2 {
 		return fmt.Errorf("electrical: mesh %dx%d too small", c.Width, c.Height)
 	}
-	if c.VCs < 1 {
-		return fmt.Errorf("electrical: VCs %d", c.VCs)
+	if c.VCs < 1 || c.VCs > maxVCs {
+		return fmt.Errorf("electrical: VCs %d outside 1..%d (%d ports x VCs must fit the VC allocator's 64-bit request bitmap)",
+			c.VCs, maxVCs, mesh.NumDirs)
 	}
 	if c.RouterDelay < 2 {
 		return fmt.Errorf("electrical: router delay %d below the 2-cycle floor", c.RouterDelay)
@@ -174,12 +180,9 @@ type Network struct {
 	// bcast caches the full-broadcast VCTM tree per source so the common
 	// broadcast inject skips the map-key allocation of vctm.Key.
 	bcast []*vctm.Tree
-	// pktFree is the epacket free list; vcReqs/vcFree are the VC
-	// allocator's per-call scratch. All exist so the steady-state Step
-	// loop allocates nothing.
+	// pktFree is the epacket free list, so the steady-state Step loop
+	// allocates nothing.
 	pktFree []*epacket
-	vcReqs  []bool
-	vcFree  []bool
 	// tracer receives router events when set (SetTracer).
 	tracer func(obs.Event)
 	// phases receives sampled per-phase step timings when set
@@ -282,8 +285,6 @@ func newNetwork(cfg Config, dense bool) *Network {
 		routers: make([]erouter, m.Nodes()),
 		trees:   make(map[string]*vctm.Tree),
 		bcast:   make([]*vctm.Tree, m.Nodes()),
-		vcReqs:  make([]bool, mesh.NumDirs*cfg.VCs),
-		vcFree:  make([]bool, cfg.VCs),
 		dense:   dense,
 		occ:     make([]int32, m.Nodes()),
 		listed:  make([]bool, m.Nodes()),
@@ -645,17 +646,34 @@ func (n *Network) freeIfDone(node mesh.NodeID, vc *vcState) {
 	n.occ[node]--
 }
 
-// allocateVCs runs the per-output-port iSLIP VC allocators (phase 4).
-// Requests and free downstream VCs are gathered up front (into network
-// scratch) so idle ports skip the matching entirely.
+// allocateVCs runs the per-output-port iSLIP VC allocators (phase 4). One
+// scan of a router's VCs builds the request bitmap of every output
+// direction (bit p*VCs+v: VC v of input port p holds an unallocated branch
+// toward it); a direction's allocator then sees that bitmap for every
+// free downstream VC and nothing for the rest. Idle directions skip the
+// matching entirely.
 func (n *Network) allocateVCs(nodes []mesh.NodeID) {
-	reqs := n.vcReqs
-	free := n.vcFree
+	vcs := n.cfg.VCs
+	var req [maxVCs]uint64
 	for _, node := range nodes {
 		if n.faults != nil && n.faults.NodeStuck(n.cycle, node) {
 			continue
 		}
 		r := &n.routers[node]
+		var wants [mesh.NumLinkDirs]uint64
+		for p := 0; p < mesh.NumDirs; p++ {
+			for v := range r.vcs[p] {
+				vc := &r.vcs[p][v]
+				if vc.empty() {
+					continue
+				}
+				for _, b := range vc.branches {
+					if b.outVC < 0 {
+						wants[b.dir] |= 1 << uint(p*vcs+v)
+					}
+				}
+			}
+		}
 		for out := 0; out < mesh.NumLinkDirs; out++ {
 			dir := mesh.Dir(out)
 			next, ok := n.m.Neighbor(node, dir)
@@ -667,39 +685,25 @@ func (n *Network) allocateVCs(nodes []mesh.NodeID) {
 			if n.faults != nil && n.faults.LinkDown(n.cycle, node, dir) {
 				continue
 			}
-			down := &n.routers[next]
-			inPort := dir.Opposite()
-			anyReq := false
-			for p := 0; p < mesh.NumDirs; p++ {
-				for v := range r.vcs[p] {
-					want := false
-					vc := &r.vcs[p][v]
-					if !vc.empty() {
-						for _, b := range vc.branches {
-							if b.dir == dir && b.outVC < 0 {
-								want = true
-								break
-							}
-						}
-					}
-					reqs[p*n.cfg.VCs+v] = want
-					anyReq = anyReq || want
-				}
-			}
-			if !anyReq {
+			if wants[out] == 0 {
 				continue
 			}
+			down := &n.routers[next]
+			inPort := dir.Opposite()
 			// Failed buffer slots mask the highest-numbered VCs of the
 			// downstream port for new reservations.
-			limit := n.cfg.VCs
+			limit := vcs
 			if n.faults != nil {
 				limit -= n.faults.LostSlots(n.cycle, next, inPort)
 			}
 			anyFree := false
-			for v := 0; v < n.cfg.VCs; v++ {
+			for v := 0; v < vcs; v++ {
 				dvc := &down.vcs[inPort][v]
-				free[v] = v < limit && dvc.empty() && !dvc.reserved && dvc.availAt <= n.cycle
-				anyFree = anyFree || free[v]
+				req[v] = 0
+				if v < limit && dvc.empty() && !dvc.reserved && dvc.availAt <= n.cycle {
+					req[v] = wants[out]
+					anyFree = true
+				}
 			}
 			if !anyFree {
 				// Credit starvation: packets want this output but
@@ -708,14 +712,12 @@ func (n *Network) allocateVCs(nodes []mesh.NodeID) {
 				n.emit(obs.KindCreditStall, 0, node, dir)
 				continue
 			}
-			match := r.va[out].Match(func(in, outVC int) bool {
-				return reqs[in] && free[outVC]
-			})
+			match := r.va[out].Match(req[:vcs])
 			for outVC, in := range match {
 				if in < 0 {
 					continue
 				}
-				p, v := in/n.cfg.VCs, in%n.cfg.VCs
+				p, v := in/vcs, in%vcs
 				vc := &r.vcs[p][v]
 				for i := range vc.branches {
 					if vc.branches[i].dir == dir && vc.branches[i].outVC < 0 {
@@ -745,24 +747,31 @@ func (n *Network) allocateSwitch(nodes []mesh.NodeID) {
 		// pipeline. A dead output link takes no requests: an already
 		// allocated branch holds its downstream VC until the link
 		// heals or the watchdog reclaims the packet.
-		match := r.sa.Match(func(in, out int) bool {
-			dir := mesh.Dir(out)
-			if n.faults != nil && n.faults.LinkDown(n.cycle, node, dir) {
-				return false
-			}
-			for v := range r.vcs[in] {
-				vc := &r.vcs[in][v]
+		var req [mesh.NumLinkDirs]uint64
+		for p := 0; p < mesh.NumDirs; p++ {
+			for v := range r.vcs[p] {
+				vc := &r.vcs[p][v]
 				if vc.empty() || vc.age < ready {
 					continue
 				}
 				for _, b := range vc.branches {
-					if b.dir == dir && b.outVC >= 0 {
-						return true
+					if b.outVC >= 0 {
+						req[b.dir] |= 1 << uint(p)
 					}
 				}
 			}
-			return false
-		})
+		}
+		if n.faults != nil {
+			for out := range req {
+				if n.faults.LinkDown(n.cycle, node, mesh.Dir(out)) {
+					req[out] = 0
+				}
+			}
+		}
+		if req == [mesh.NumLinkDirs]uint64{} {
+			continue
+		}
+		match := r.sa.Match(req[:])
 		for out, in := range match {
 			if in < 0 {
 				continue

@@ -35,6 +35,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Width = 0 },
 		func(c *Config) { c.VCs = 0 },
+		func(c *Config) { c.VCs = maxVCs + 1 }, // 5 ports x 13 VCs overflow a 64-bit request mask
 		func(c *Config) { c.RouterDelay = 1 },
 		func(c *Config) { c.InputSpeedup = 0 },
 		func(c *Config) { c.NICEntries = 0 },
@@ -49,6 +50,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config: %v", err)
 	}
+	widest := DefaultConfig()
+	widest.VCs = maxVCs
+	if err := widest.Validate(); err != nil {
+		t.Errorf("%d VCs: %v", maxVCs, err)
+	}
+	New(widest) // builds its allocators without panicking
 }
 
 func TestDefaultMatchesTable2(t *testing.T) {

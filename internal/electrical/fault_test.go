@@ -6,6 +6,7 @@ import (
 
 	"phastlane/internal/fault"
 	"phastlane/internal/mesh"
+	"phastlane/internal/obs"
 	"phastlane/internal/packet"
 	"phastlane/internal/sim"
 	"phastlane/internal/stats"
@@ -180,5 +181,53 @@ func TestNICSlotFaultReducesCapacity(t *testing.T) {
 	}
 	if free := n.NICFree(5); free != DefaultConfig().NICEntries {
 		t.Fatalf("healthy NICFree = %d", free)
+	}
+}
+
+// TestAllocatedBranchWaitsOutDeadLink kills a link while packets already
+// hold downstream VCs across it: the switch allocator must not send them
+// over the dead link, and they cross once it heals.
+func TestAllocatedBranchWaitsOutDeadLink(t *testing.T) {
+	const from, until = 8, 40
+	n := mustNew(t, func(c *Config) {
+		c.Faults = &fault.Plan{Faults: []fault.Fault{
+			{Kind: fault.DeadLink, Node: 1, Dir: mesh.East, From: from, Until: until},
+		}}
+	})
+	allocated := map[uint64]bool{} // VC allocated across 1->East, not yet switched
+	held, crossedAfter := 0, 0
+	n.SetTracer(func(e obs.Event) {
+		if e.Node != 1 || e.Dir != mesh.East {
+			return
+		}
+		switch e.Kind {
+		case obs.KindVCAlloc:
+			allocated[e.MsgID] = true
+		case obs.KindSwitch:
+			if e.Cycle >= from && e.Cycle < until {
+				t.Fatalf("cycle %d: msg %d switched across the dead link", e.Cycle, e.MsgID)
+			}
+			if e.Cycle >= until {
+				crossedAfter++
+			}
+			delete(allocated, e.MsgID)
+		}
+	})
+	var id uint64
+	for cycle := 0; cycle < 400; cycle++ {
+		if cycle < 20 && n.NICFree(0) > 0 {
+			id++
+			n.Inject(sim.Message{ID: id, Src: 0, Dsts: []mesh.NodeID{3}, Op: packet.OpSynthetic})
+		}
+		if cycle == from {
+			held = len(allocated)
+		}
+		n.Step(nil)
+	}
+	if held == 0 || crossedAfter == 0 {
+		t.Fatalf("%d packets held a VC across the link when it died, %d crossed after it healed; want both > 0", held, crossedAfter)
+	}
+	if !n.Quiescent() {
+		t.Fatal("network not quiescent after the link healed")
 	}
 }
