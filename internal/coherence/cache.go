@@ -108,8 +108,9 @@ func newCache(sizeBytes, ways, blockBytes int) *cache {
 	for m := c.setMask; m > 0; m >>= 1 {
 		c.setBits++
 	}
+	ws := make([]way, sets*ways)
 	for i := range c.sets {
-		c.sets[i] = make([]way, ways)
+		c.sets[i] = ws[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return c
 }
