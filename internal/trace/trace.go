@@ -128,6 +128,10 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
+// maxPrealloc bounds the records Read reserves room for before reading
+// them (64 Ki records, 3.5 MiB).
+const maxPrealloc = 1 << 16
+
 // Read deserialises a trace written by Write and validates it.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
@@ -145,7 +149,10 @@ func Read(r io.Reader) (*Trace, error) {
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("trace: reading message count: %w", err)
 	}
-	t := &Trace{Nodes: int(nodes), Messages: make([]Message, 0, count)}
+	// The count comes from the file, so it only sizes the first
+	// allocation up to a bound; a longer trace grows as its records
+	// actually arrive.
+	t := &Trace{Nodes: int(nodes), Messages: make([]Message, 0, min(count, maxPrealloc))}
 	var rec [recordBytes]byte
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,4 +121,49 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if got.Nodes != 16 || len(got.Messages) != 0 {
 		t.Error("empty trace round-trip failed")
 	}
+}
+
+// A header may claim up to 2^32-1 records; Read must not reserve room for
+// them before they arrive. The 16-byte file below claims the maximum and
+// holds none, so Read fails at the first record having allocated only its
+// bounded first slice.
+func TestReadHugeCountHeaderAllocatesBounded(t *testing.T) {
+	hdr := []byte(Magic + "\x40\x00\x00\x00\xff\xff\xff\xff")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without records accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("Read allocated %d bytes for an empty trace", got)
+	}
+}
+
+// FuzzTraceRead feeds arbitrary bytes to Read: it must never panic, and
+// any trace it accepts must survive a Write/Read round trip unchanged.
+func FuzzTraceRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sample()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, tr); err != nil {
+			t.Fatalf("accepted trace does not write back: %v", err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v", err)
+		}
+		if back.Nodes != tr.Nodes || !slices.Equal(back.Messages, tr.Messages) {
+			t.Fatalf("round trip changed the trace: %+v -> %+v", tr, back)
+		}
+	})
 }
