@@ -25,8 +25,6 @@ import (
 	"os"
 	"phastlane/internal/cliflags"
 
-	"phastlane/internal/core"
-	"phastlane/internal/electrical"
 	"phastlane/internal/figures"
 	"phastlane/internal/sim"
 	"phastlane/internal/stats"
@@ -110,27 +108,9 @@ func runScenario(arg string, rate float64, warmup, measure int, seed int64) {
 		Columns: []string{"config", "delivered", "throughput", "latency", "lost", "unreachable", "corrupt", "saturated"},
 	}
 	for _, name := range []string{"Optical4", "Electrical3"} {
-		var net sim.Network
-		switch name {
-		case "Optical4":
-			cfg := core.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Faults = plan
-			cfg.RetryLimit = 16
-			cfg.LossTimeout = 4000
-			if err := cfg.Validate(); err != nil {
-				fail(err)
-			}
-			net = core.New(cfg)
-		case "Electrical3":
-			cfg := electrical.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Faults = plan
-			cfg.LossTimeout = 4000
-			if err := cfg.Validate(); err != nil {
-				fail(err)
-			}
-			net = electrical.New(cfg)
+		net, err := figures.DegradationNet(name, plan, seed)
+		if err != nil {
+			fail(err)
 		}
 		res := sim.RunRate(net, sim.RateConfig{
 			Pattern: traffic.UniformRandom(64, seed+7),

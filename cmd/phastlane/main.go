@@ -3,7 +3,8 @@
 // synthetic pattern at a fixed injection rate or a trace file produced by
 // tracegen. With -topo benes or -topo shufflecast the run uses the
 // generic fabric simulator over that topology instead of the mesh
-// optical model (synthetic traffic only).
+// optical model; the mesh-only flags (-hops, -buffers, -trace, -faults,
+// -retry-limit) are rejected there.
 //
 // Usage:
 //
@@ -19,127 +20,25 @@ import (
 	"os"
 
 	"phastlane/internal/cliflags"
-	"phastlane/internal/core"
-	"phastlane/internal/figures"
 	"phastlane/internal/packet"
 	"phastlane/internal/photonic"
 	"phastlane/internal/sim"
-	"phastlane/internal/telemetry"
-	"phastlane/internal/trace"
 )
 
 func main() {
-	trafficName := flag.String("traffic", "Uniform", "pattern: Uniform, BitComp, BitRev, Shuffle, Transpose")
-	rate := flag.Float64("rate", 0.05, "injection rate (packets/node/cycle)")
-	tracePath := flag.String("trace", "", "replay a trace file instead of synthetic traffic")
-	hops := flag.Int("hops", 4, "max hops per cycle (4, 5, or 8)")
-	geo := cliflags.RegisterGeometry(flag.CommandLine)
-	buffers := flag.Int("buffers", 10, "electrical buffer entries per port (-1 = infinite)")
-	measure := flag.Int("measure", 4000, "measurement cycles (synthetic traffic)")
-	seed := cliflags.Seed(flag.CommandLine)
-	faultSpec := flag.String("faults", "", "fault plan: spec string, inline JSON, or @file")
-	retryLimit := flag.Int("retry-limit", 0, "drop-retry budget per packet (0 = unlimited)")
-	lossTimeout := flag.Int64("loss-timeout", 0, "cycles before an undelivered packet is declared lost (0 = never)")
-	ccFlags := cliflags.RegisterCC(flag.CommandLine)
-	telFlags := telemetry.RegisterFlags(flag.CommandLine)
+	p := cliflags.RegisterPoint(flag.CommandLine, "optical")
 	flag.Parse()
-
-	var net sim.Network
-	if geo.IsMesh() {
-		cfg := core.DefaultConfig()
-		cfg.Width, cfg.Height = geo.Width, geo.Height
-		cfg.MaxHops = *hops
-		cfg.BufferEntries = *buffers
-		cfg.Seed = *seed
-		cfg.RetryLimit = *retryLimit
-		cfg.LossTimeout = *lossTimeout
-		if *faultSpec != "" {
-			plan, err := cliflags.ParseFaultArg(*faultSpec)
-			if err != nil {
-				fail(err)
-			}
-			cfg.Faults = plan
-		}
-		if err := cfg.Validate(); err != nil {
-			fail(err)
-		}
-		net = core.New(cfg)
-	} else {
-		if *tracePath != "" {
-			fail(geo.RequireMesh("-trace replay"))
-		}
-		if *faultSpec != "" {
-			fail(geo.RequireMesh("-faults"))
-		}
-		if *retryLimit != 0 {
-			fail(geo.RequireMesh("-retry-limit (fabric simulators have no drop/retry protocol)"))
-		}
-		fnet, err := geo.FabricNetwork(0, *lossTimeout, *seed)
-		if err != nil {
-			fail(err)
-		}
-		net = fnet
-		fmt.Printf("fabric %s: %d endpoints, %d nodes\n",
-			geo.Topo, fnet.Topology().Endpoints(), fnet.Topology().Nodes())
-	}
-	tel, err := telFlags.StartRun()
-	if err != nil {
-		fail(err)
-	}
-
-	var res sim.Result
-	if *tracePath != "" {
-		if ccFlags.Enabled {
-			fail(fmt.Errorf("-cc applies to synthetic-traffic runs, not -trace replay"))
-		}
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		tr, err := trace.Read(f)
-		if err != nil {
-			fail(err)
-		}
-		res, err = sim.RunTrace(net, tr, sim.ReplayConfig{Telemetry: tel})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("trace: %d messages, makespan %d cycles\n", len(tr.Messages), res.Makespan)
-		for op := packet.Op(0); op < packet.NumOps; op++ {
-			if l := res.LatencyByOp[op]; l != nil {
-				fmt.Printf("  %-10s %6d msgs, avg latency %6.1f cycles\n", op, l.Count(), l.Mean())
-			}
-		}
-	} else {
-		pattern, err := figures.PatternByName(*trafficName, net.Nodes(), *seed)
-		if err != nil {
-			fail(err)
-		}
-		gov, err := ccFlags.Governor(net.Nodes(), *seed)
-		if err != nil {
-			fail(err)
-		}
-		if gov != nil && tel != nil {
-			gov.Register(tel.Reg)
-		}
-		res = sim.RunRate(net, sim.RateConfig{
-			Pattern: pattern, Rate: *rate, Measure: *measure, Seed: *seed,
-			Telemetry: tel, CC: gov,
-		})
-		fmt.Printf("pattern %s at rate %.3f over %d cycles\n", *trafficName, *rate, *measure)
-		if gov != nil {
-			fmt.Printf("cc: mean admitted rate %.4f pkts/node/cycle; %d injections paced\n",
-				gov.MeanRate(), res.Paced)
-		}
-	}
-	report(res, net.Nodes())
-	if err := telFlags.Finish(tel, os.Stdout); err != nil {
-		fail(err)
+	if err := p.Run(os.Stdout, report); err != nil {
+		cliflags.Fail("phastlane", err)
 	}
 }
 
 func report(res sim.Result, nodes int) {
+	for op := packet.Op(0); op < packet.NumOps; op++ {
+		if l := res.LatencyByOp[op]; l != nil {
+			fmt.Printf("  %-10s %6d msgs, avg latency %6.1f cycles\n", op, l.Count(), l.Mean())
+		}
+	}
 	fmt.Printf("delivered %d messages; avg latency %.2f cycles (p99 %.0f, max %.0f)\n",
 		res.Run.Delivered, res.Run.Latency.Mean(), res.Run.Latency.Percentile(99), res.Run.Latency.Max())
 	fmt.Printf("throughput %.4f pkts/node/cycle; drops %d; retries %d; buffered %d\n",
@@ -165,5 +64,3 @@ func powerShare(res sim.Result, pj float64) float64 {
 	}
 	return res.Run.PowerW(photonic.DefaultClockGHz) * pj / total
 }
-
-func fail(err error) { cliflags.Fail("phastlane", err) }

@@ -122,17 +122,15 @@ func main() {
 				fmt.Fprintln(os.Stderr, "sweep:", err)
 				os.Exit(2)
 			}
-			whySample := 0
-			if why.Why {
-				whySample = why.Sample
-			}
 			inspects = append(inspects, figures.InspectOpts{
 				Name: res.Pattern + "/" + curve.Config, Build: cfg.Build,
 				Width: 8, Height: 8, Pattern: p, Rate: rate,
 				Warmup: *warmup, Measure: *measure, Seed: *seed,
-				WhySample: whySample,
 			})
 		}
+	}
+	if why.Why {
+		figures.AttachProvenance(inspects, why.Sample, nil)
 	}
 	if _, err := figures.InspectBundle(inspects, exp.Options{Workers: *parallel}, bundle, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)

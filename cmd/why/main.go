@@ -28,116 +28,21 @@ import (
 	"os"
 
 	"phastlane/internal/cliflags"
-	"phastlane/internal/core"
-	"phastlane/internal/electrical"
-	"phastlane/internal/exp"
 	"phastlane/internal/figures"
 	"phastlane/internal/provenance"
-	"phastlane/internal/sim"
-	"phastlane/internal/telemetry"
 )
 
 func main() {
-	netFlag := flag.String("net", "both", "network to explain: both, optical, electrical (mesh only)")
-	geo := cliflags.RegisterGeometry(flag.CommandLine)
-	pattern := flag.String("pattern", "Uniform", "traffic pattern (Uniform, BitComp, BitRev, Shuffle, Transpose)")
-	rate := flag.Float64("rate", 0.10, "injection rate (packets/node/cycle)")
-	warmup := flag.Int("warmup", 500, "warmup cycles")
-	measure := flag.Int("measure", 2000, "measurement cycles")
-	seed := cliflags.Seed(flag.CommandLine)
-	hops := flag.Int("hops", 4, "optical MaxHops (4, 5 or 8)")
-	buffers := flag.Int("buffers", 10, "optical buffer entries (-1 = infinite)")
-	delay := flag.Int("delay", 3, "electrical router delay in cycles (2 or 3)")
+	d := cliflags.RegisterDeepDive(flag.CommandLine, "explain")
 	whyOut := flag.String("why-out", "", "write the tail-blame reports as a JSON array to this file")
 	traceOut := flag.String("trace-out", "", "write the sampled span trees as Perfetto trace-event JSON to this file")
 	minAttrib := flag.Float64("min-attrib", 0.95,
 		"fail unless every sampled packet's named stages explain at least this latency fraction")
-	telemetryAddr := cliflags.TelemetryAddr(flag.CommandLine)
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = one per core)")
 	why := provenance.RegisterAlwaysOn(flag.CommandLine)
 	flag.Parse()
 	why.Clamp()
 
-	w, h := geo.Width, geo.Height
-	var opts []figures.InspectOpts
-	add := func(name string, build func(seed int64) sim.Network) {
-		p, err := figures.PatternByName(*pattern, w*h, *seed)
-		if err != nil {
-			fail(err)
-		}
-		opts = append(opts, figures.InspectOpts{
-			Name: name, Build: build, Width: w, Height: h,
-			Pattern: p, Rate: *rate,
-			Warmup: *warmup, Measure: *measure, Seed: *seed,
-		})
-	}
-	if !geo.IsMesh() {
-		// Indirect fabrics are explained through the generic fabric
-		// simulator; -net selects among the mesh models only.
-		tp, err := geo.Build()
-		if err != nil {
-			fail(err)
-		}
-		add(geo.Topo, func(seed int64) sim.Network {
-			net, err := geo.FabricNetwork(0, 0, seed)
-			if err != nil {
-				fail(err)
-			}
-			return net
-		})
-		opts[0].Topo = tp
-	} else {
-		if *netFlag == "both" || *netFlag == "optical" {
-			add("optical", func(seed int64) sim.Network {
-				cfg := core.DefaultConfig()
-				cfg.Width, cfg.Height = w, h
-				cfg.MaxHops = *hops
-				cfg.BufferEntries = *buffers
-				cfg.Seed = seed
-				if err := cfg.Validate(); err != nil {
-					fail(err)
-				}
-				return core.New(cfg)
-			})
-		}
-		if *netFlag == "both" || *netFlag == "electrical" {
-			add("electrical", func(seed int64) sim.Network {
-				cfg := electrical.DefaultConfig()
-				cfg.Width, cfg.Height = w, h
-				cfg.RouterDelay = *delay
-				cfg.Seed = seed
-				if err := cfg.Validate(); err != nil {
-					fail(err)
-				}
-				return electrical.New(cfg)
-			})
-		}
-	}
-	if len(opts) == 0 {
-		fail(fmt.Errorf("unknown -net %q (want both, optical or electrical)", *netFlag))
-	}
-
-	reg, err := telemetry.Start(*telemetryAddr, nil)
-	if err != nil {
-		fail(err)
-	}
-	for i := range opts {
-		o := &opts[i]
-		pc := provenance.Config{
-			K: why.Sample, Seed: o.Seed, Width: o.Width, Height: o.Height,
-		}
-		if o.Topo != nil {
-			pc.Label = o.Topo.NodeLabel
-		}
-		o.Prov = provenance.New(pc)
-		if *telemetryAddr != "" {
-			o.Prov.Register(reg, o.Name)
-		}
-	}
-
-	results, err := figures.InspectBundle(opts, exp.Options{Workers: *parallel}, figures.BundleOpts{
-		TracePath: *traceOut, WhyTop: why.Top,
-	}, os.Stdout)
+	results, err := d.Run(why, figures.BundleOpts{TracePath: *traceOut, WhyTop: why.Top}, os.Stdout)
 	if err != nil {
 		fail(err)
 	}

@@ -1,10 +1,13 @@
 // Package cliflags consolidates the command-line blocks the cmds used
 // to copy-paste: the topology/geometry flags (-topo, -width, -height,
-// -arity) behind one fabric builder, the shared -seed flag, the plain
-// -telemetry-addr endpoint flag, the -faults argument parser, and the
-// uniform error exit. Single-run cmds still register the full
-// telemetry.CLI bundle (flight recorder, phase sampling) on top of
-// these; sweep-style cmds take just the endpoint address.
+// -arity), the shared -seed flag, the plain -telemetry-addr endpoint
+// flag, the -faults argument parser, and the uniform error exit. The
+// single-point cmds go further: their flags are registered here
+// (RegisterPoint for phastlane/electrical, RegisterDeepDive for
+// inspect/why), one builder (Net.Networks) turns them into validated
+// networks on the mesh or a fabric, and one run body each (Point.Run,
+// DeepDive.Run) drives them. Sweep-style cmds take just the telemetry
+// endpoint address.
 package cliflags
 
 import (
@@ -13,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"phastlane/internal/fabsim"
 	"phastlane/internal/fault"
 	"phastlane/internal/topo"
 )
@@ -62,25 +64,6 @@ func (g *Geometry) RequireMesh(feature string) error {
 		return nil
 	}
 	return fmt.Errorf("%s requires -topo mesh (got %q)", feature, g.Topo)
-}
-
-// FabricNetwork builds the generic store-and-forward simulator over the
-// selected fabric — the execution substrate the cmds use for non-mesh
-// topologies. routerDelay <= 0 keeps the fabsim default; lossTimeout > 0
-// arms fabsim's delivery watchdog, honouring the shared -loss-timeout
-// flag on fabric runs exactly as the mesh simulators do.
-func (g *Geometry) FabricNetwork(routerDelay int, lossTimeout int64, seed int64) (*fabsim.Network, error) {
-	t, err := g.Build()
-	if err != nil {
-		return nil, err
-	}
-	cfg := fabsim.DefaultConfig(t)
-	if routerDelay > 0 {
-		cfg.RouterDelay = routerDelay
-	}
-	cfg.LossTimeout = lossTimeout
-	cfg.Seed = seed
-	return fabsim.New(cfg), nil
 }
 
 // Seed registers the shared -seed flag.

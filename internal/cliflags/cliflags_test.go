@@ -52,12 +52,12 @@ func TestGeometryFabrics(t *testing.T) {
 			t.Fatalf("%v built %s/%d, want %s/%d",
 				tc.args, tp.Name(), tp.Endpoints(), tc.name, tc.endpoints)
 		}
-		net, err := g.FabricNetwork(2, 0, 1)
+		nets, err := (&Net{Geo: g, Model: "electrical", Delay: 2, fs: fs}).Networks()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if net.Nodes() != tc.endpoints {
-			t.Fatalf("%v fabsim nodes %d, want %d", tc.args, net.Nodes(), tc.endpoints)
+		if len(nets) != 1 || nets[0].Topo == nil || nets[0].Build(1).Nodes() != tc.endpoints {
+			t.Fatalf("%v built %+v, want one %d-node fabric network", tc.args, nets, tc.endpoints)
 		}
 	}
 }

@@ -102,10 +102,12 @@ func degradationAxes() []struct {
 	}
 }
 
-// degradationNet builds the named variant with plan installed and the
-// delivery layer armed, so faulted runs resolve every message instead of
-// hanging the drain phase.
-func degradationNet(config string, plan *fault.Plan, seed int64) sim.Network {
+// DegradationNet builds the named degradation-study variant
+// ("Optical4" or "Electrical3") with plan installed and the delivery
+// layer armed, so faulted runs resolve every message instead of hanging
+// the drain phase. It rejects an unknown name and a plan that does not
+// fit the mesh.
+func DegradationNet(config string, plan *fault.Plan, seed int64) (sim.Network, error) {
 	switch config {
 	case "Optical4":
 		cfg := core.DefaultConfig()
@@ -113,16 +115,31 @@ func degradationNet(config string, plan *fault.Plan, seed int64) sim.Network {
 		cfg.Faults = plan
 		cfg.RetryLimit = 16
 		cfg.LossTimeout = 4000
-		return core.New(cfg)
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		return core.New(cfg), nil
 	case "Electrical3":
 		cfg := electrical.DefaultConfig()
 		cfg.Seed = seed
 		cfg.Faults = plan
 		cfg.LossTimeout = 4000
-		return electrical.New(cfg)
-	default:
-		panic("figures: unknown degradation config " + config)
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		return electrical.New(cfg), nil
 	}
+	return nil, fmt.Errorf("figures: unknown degradation config %q", config)
+}
+
+// degradationNet is DegradationNet for the studies' own variants and
+// generated plans, which always fit.
+func degradationNet(config string, plan *fault.Plan, seed int64) sim.Network {
+	net, err := DegradationNet(config, plan, seed)
+	if err != nil {
+		panic(err)
+	}
+	return net
 }
 
 // Degradation runs the fault sweeps and returns all points in a stable

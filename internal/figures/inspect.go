@@ -11,6 +11,7 @@ import (
 	"phastlane/internal/provenance"
 	"phastlane/internal/sim"
 	"phastlane/internal/stats"
+	"phastlane/internal/telemetry"
 	"phastlane/internal/traffic"
 )
 
@@ -49,11 +50,8 @@ type InspectOpts struct {
 	// Trace, when non-nil, receives every event - typically
 	// obs.TraceFile.Tracer(pid) with a per-run pid.
 	Trace func(obs.Event)
-	// WhySample, when positive, attaches a provenance tracker sampling
-	// the WhySample slowest packets for the tail-blame report.
-	WhySample int
-	// Prov, when non-nil, is a caller-built tracker (already registered
-	// with telemetry, say) and wins over WhySample.
+	// Prov, when non-nil, records per-packet provenance for the
+	// tail-blame report (see AttachProvenance).
 	Prov *provenance.Tracker
 }
 
@@ -67,8 +65,7 @@ type InspectResult struct {
 	Metrics *obs.Metrics
 	Sampler *obs.Sampler
 	Run     sim.Result
-	// Prov is the provenance tracker when the point asked for one
-	// (WhySample/Prov in InspectOpts); nil otherwise.
+	// Prov is the point's provenance tracker (InspectOpts.Prov).
 	Prov *provenance.Tracker
 }
 
@@ -80,24 +77,32 @@ func Inspect(o InspectOpts) InspectResult {
 		Trace:   o.Trace,
 	}
 	net := o.Build(o.Seed)
-	res := InspectResult{Name: o.Name, Metrics: c.Metrics, Sampler: c.Sampler}
+	res := InspectResult{Name: o.Name, Metrics: c.Metrics, Sampler: c.Sampler, Prov: o.Prov}
 	_, res.Traced = net.(sim.Traceable)
-	res.Prov = o.Prov
-	if res.Prov == nil && o.WhySample > 0 {
-		pc := provenance.Config{
-			K: o.WhySample, Seed: o.Seed, Width: o.Width, Height: o.Height,
-		}
-		if o.Topo != nil {
-			pc.Label = o.Topo.NodeLabel
-		}
-		res.Prov = provenance.New(pc)
-	}
 	res.Run = sim.RunRate(net, sim.RateConfig{
 		Pattern: o.Pattern, Rate: o.Rate,
 		Warmup: o.Warmup, Measure: o.Measure,
 		Seed: o.Seed, Obs: c, Prov: res.Prov,
 	})
 	return res
+}
+
+// AttachProvenance gives every point a provenance tracker sampling its
+// k slowest packets, naming nodes by the point's fabric when it has one.
+// With a non-nil reg, each tracker also streams live tail quantiles and
+// per-stage counters there under the point's name.
+func AttachProvenance(opts []InspectOpts, k int, reg *telemetry.Registry) {
+	for i := range opts {
+		o := &opts[i]
+		pc := provenance.Config{K: k, Seed: o.Seed, Width: o.Width, Height: o.Height}
+		if o.Topo != nil {
+			pc.Label = o.Topo.NodeLabel
+		}
+		o.Prov = provenance.New(pc)
+		if reg != nil {
+			o.Prov.Register(reg, o.Name)
+		}
+	}
 }
 
 // InspectGrid fans several inspections out over the experiment engine.
